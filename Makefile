@@ -5,12 +5,12 @@
 #                   gate (internal/doccheck fails on undocumented exported
 #                   API) + the result-cache acceptance tests under -race
 #                   (cached Reports byte-identical to fresh across
-#                   strict/lenient × row/columnar × sharded; N concurrent
-#                   identical uploads coalesce onto one pipeline run) + the
+#                   strict/lenient × sharded; N concurrent identical
+#                   uploads coalesce onto one pipeline run) + the
 #                   property tests that pin the indexed clustering kernels
 #                   to their brute-force references + a short fuzz run over
-#                   the trace decoder (row and columnar paths) + a build of
-#                   every example the docs reference + the benchmark
+#                   the trace decoder (record and column-block readers) +
+#                   a build of every example the docs reference + the benchmark
 #                   regression gate (benchjson -gate fails on any >10%
 #                   ns/op or B/op regression between the two newest
 #                   BENCH_<date>.json snapshots from the same runner)
@@ -37,6 +37,10 @@
 #                   Last-Event-ID with no duplicated or skipped
 #                   snapshots, drain, budgets and the client helper
 #                   (also part of make check)
+#   make flake    — hunt timing-dependent tests: the service, session
+#                   and pipeline packages 20 times over under the race
+#                   detector (not part of make check: it is slow and
+#                   meant for hunting, not gating)
 #   make bench-diff — run just BenchmarkDiff (needs BENCH_SCALE=large)
 #                   and fold it into today's BENCH snapshot via
 #                   benchjson -merge
@@ -52,7 +56,7 @@ FUZZTIME  ?= 10s
 # clustering of a ~100k-burst trace (tracegen -preset bench-large).
 BENCH_SCALE ?=
 
-.PHONY: build test check chaos bench benchmem e2e-dist e2e-diff e2e-session bench-diff
+.PHONY: build test check chaos flake bench benchmem e2e-dist e2e-diff e2e-session bench-diff
 
 build:
 	$(GO) build ./...
@@ -77,6 +81,9 @@ check:
 
 chaos:
 	$(GO) test -race -count 1 ./internal/faultinject/
+
+flake:
+	$(GO) test -race -count 20 ./internal/foldsvc/ ./internal/session/ ./internal/pipeline/
 
 e2e-session:
 	$(GO) test -race -count 1 -run 'TestSession|TestClientSession|TestSubscriber|TestChunks' ./internal/session/ ./internal/foldsvc/

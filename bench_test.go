@@ -187,13 +187,11 @@ func BenchmarkDecodeStream(b *testing.B) {
 }
 
 // BenchmarkAnalyzeEndToEnd runs the full streaming analysis (decode →
-// extract → cluster → attach) over the encoded bench-large trace on both
-// hot paths. This is the headline comparison for the columnar engine:
-// identical Reports (TestColumnarEquivalence), different ns/op, B/op and
-// allocs/op. The silhouette is sampled (it would otherwise be >90% of
-// the run and has its own benchmarks) so the decode/extract/attach path
-// under comparison carries the time. Needs BENCH_SCALE=large; simulation
-// and encoding sit outside the timer.
+// extract → cluster → attach) over the encoded bench-large trace. The
+// silhouette is sampled (it would otherwise be >90% of the run and has
+// its own benchmarks) so the decode/extract/attach path carries the
+// time. Needs BENCH_SCALE=large; simulation and encoding sit outside
+// the timer.
 func BenchmarkAnalyzeEndToEnd(b *testing.B) {
 	if !benchScaleLarge() {
 		b.Skip("set BENCH_SCALE=large to analyze the bench-large trace end to end")
@@ -214,18 +212,14 @@ func BenchmarkAnalyzeEndToEnd(b *testing.B) {
 	}
 	raw := buf.Bytes()
 
-	for _, path := range []core.HotPath{core.PathRow, core.PathColumnar} {
-		b.Run(path.String(), func(b *testing.B) {
-			b.SetBytes(int64(len(raw)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				opts := core.Options{Columnar: path}
-				opts.Cluster.SilhouetteSample = 256
-				if _, err := core.AnalyzeStream(bytes.NewReader(raw), opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var opts core.Options
+		opts.Cluster.SilhouetteSample = 256
+		if _, err := core.AnalyzeStream(bytes.NewReader(raw), opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

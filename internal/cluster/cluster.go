@@ -253,49 +253,27 @@ func AutoEpsP(points [][]float64, k, parallelism int) float64 {
 // mode returns bit-identical eps on the same input, for every
 // parallelism (the *Property* tests in knn_test.go enforce this).
 func AutoEpsMode(points [][]float64, k, parallelism int, mode IndexMode) float64 {
-	n := len(points)
-	if n == 0 {
-		return 0.1
-	}
-	if k >= n {
-		k = n - 1
-	}
-	if k < 1 {
-		return 0.1
-	}
-	kd := make([]float64, n)
-	if mode == IndexKDTree || (mode == IndexAuto && n >= indexAutoMin) {
-		tree := NewKDTree(points)
-		parallel.ForEachChunk(n, parallelism, func(lo, hi int) {
-			heap := parallel.GetFloat64(k)
-			defer parallel.PutFloat64(heap)
-			for i := lo; i < hi; i++ {
-				kd[i] = tree.KNearestDist(i, k, heap)
-			}
-		})
-	} else {
-		parallel.ForEachChunk(n, parallelism, func(lo, hi int) {
-			heap := parallel.GetFloat64(k)
-			defer parallel.PutFloat64(heap)
-			for i := lo; i < hi; i++ {
-				h := heap[:0]
-				pi := points[i]
-				for j := range points {
-					if i != j {
-						h = pushBounded(h, dist2(pi, points[j]), k)
-					}
-				}
-				kd[i] = math.Sqrt(h[0])
-			}
-		})
-	}
-	return epsFromKDists(kd)
+	flat, dim := flatten(points)
+	return autoEpsFlat(flat, dim, k, parallelism, mode)
 }
 
-// autoEpsFlat is AutoEpsMode over a row-major flat matrix — the
-// zero-copy path from featuresFlat. The k-d tree bulk-loads the array
-// without per-row headers; the brute path scans contiguous row views, so
-// both layouts return bit-identical eps.
+// flatten copies equal-length rows into one row-major array, the
+// layout the clustering kernels run on.
+func flatten(points [][]float64) ([]float64, int) {
+	if len(points) == 0 {
+		return nil, 0
+	}
+	dim := len(points[0])
+	flat := make([]float64, 0, len(points)*dim)
+	for _, p := range points {
+		flat = append(flat, p[:dim]...)
+	}
+	return flat, dim
+}
+
+// autoEpsFlat is AutoEpsMode over a row-major flat matrix, the
+// zero-copy path from featuresFlat: the k-d tree bulk-loads the array
+// and the brute path scans contiguous row views.
 func autoEpsFlat(flat []float64, dim, k, parallelism int, mode IndexMode) float64 {
 	if dim <= 0 {
 		return 0.1
@@ -340,7 +318,7 @@ func autoEpsFlat(flat []float64, dim, k, parallelism int, mode IndexMode) float6
 	return epsFromKDists(kd)
 }
 
-// epsFromKDists finishes both AutoEps layouts: the 99th-percentile
+// epsFromKDists finishes AutoEps: the 99th-percentile
 // k-dist via quickselect, floored at 1e-3 so a degenerate point set
 // (all duplicates) still yields a usable radius.
 func epsFromKDists(kd []float64) float64 {

@@ -20,8 +20,8 @@ const fingerprintVersion = "v1"
 //
 // Result-invariant knobs are deliberately excluded so equivalent
 // requests share one cache entry: Parallelism (TestAnalyzeParallelDeterminism),
-// Cluster.Parallelism, Cluster.Index (exact either way), Columnar
-// (TestColumnarEquivalence), StallTimeout and the loggers. Lenient IS
+// Cluster.Parallelism, Cluster.Index (exact either way), StallTimeout
+// and the loggers. Lenient IS
 // included — salvage decoding changes what a damaged trace analyzes
 // to, so strict and lenient results must never share an entry.
 //

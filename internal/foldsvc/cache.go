@@ -91,7 +91,7 @@ func (s *Server) spoolBody(ctx context.Context, body io.Reader) (*bytes.Buffer, 
 // coalesced onto that one run. The cached value is the exact JSON body
 // the streaming path would have written, so hits and misses are
 // byte-identical.
-func (s *Server) analyzeCached(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, body *limitTrackingReader, input io.Reader, src string) {
+func (s *Server) analyzeCached(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, body *limitTrackingReader, input io.Reader, src string, release func()) {
 	var (
 		spooled    []byte
 		fromUpload = src == "upload"
@@ -158,6 +158,7 @@ func (s *Server) analyzeCached(w http.ResponseWriter, r *http.Request, ctx conte
 		}
 		return rescache.Result{Data: append(out, '\n')}, nil
 	})
+	release()
 	if err != nil {
 		s.analyzeError(w, r, src, err)
 		return
@@ -181,7 +182,7 @@ func (s *Server) analyzeCached(w http.ResponseWriter, r *http.Request, ctx conte
 // being hashed; if the received bytes do not match the declared
 // digest, the partial is served but never stored (a mislabeled upload
 // must not poison the key).
-func (s *Server) partialCached(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, spec core.ShardSpec, body *limitTrackingReader, declared string) {
+func (s *Server) partialCached(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, spec core.ShardSpec, body *limitTrackingReader, declared string, release func()) {
 	key := rescache.Key("partial", declared,
 		spec.Mode.String(), strconv.Itoa(spec.Count), strconv.Itoa(spec.Index),
 		strconv.FormatBool(spec.Resume), opts.Fingerprint())
@@ -208,6 +209,7 @@ func (s *Server) partialCached(w http.ResponseWriter, r *http.Request, ctx conte
 		}
 		return rescache.Result{Data: append(out, '\n'), NoStore: dr.Sum() != declared}, nil
 	})
+	release()
 	if err != nil {
 		if body.limit != nil {
 			err = body.limit

@@ -29,8 +29,8 @@ func postAnalyze(t *testing.T, base, query string, enc []byte) (int, string, []b
 }
 
 // TestCacheEquivalence is the acceptance gate for the result cache:
-// for every analysis path — strict/lenient × row/columnar on a single
-// node, plus the coordinator-sharded path — the cached Report must be
+// for every analysis path — strict and lenient on a single node, plus
+// the coordinator-sharded path — the cached Report must be
 // byte-identical to the freshly computed one (?nocache=1), and a
 // repeat request must hit. `make check` runs this test explicitly.
 func TestCacheEquivalence(t *testing.T) {
@@ -38,17 +38,17 @@ func TestCacheEquivalence(t *testing.T) {
 	srv := httptest.NewServer(NewServer(Config{Jobs: 16}))
 	defer srv.Close()
 
-	// Row and columnar layouts are result-invariant (locked by
-	// TestColumnarEquivalence), so they deliberately share one cache
-	// entry per decode mode: the columnar request HITS the entry the
-	// row request stored — which is exactly the cross-path
+	// Parallelism is result-invariant (locked by
+	// TestAnalyzeParallelDeterminism), so it deliberately shares one
+	// cache entry per decode mode: the parallel=2 request HITS the entry
+	// the parallel=1 request stored — which is exactly the cross-knob
 	// byte-identity the cache key design promises. Decode mode
 	// (lenient) IS part of the key, so the lenient rows miss afresh.
 	for _, tc := range []struct{ name, query, first string }{
-		{"strict-row", "?columnar=0", "miss"},
-		{"strict-columnar", "?columnar=1", "hit"},
-		{"lenient-row", "?lenient=1&columnar=0", "miss"},
-		{"lenient-columnar", "?lenient=1&columnar=1", "hit"},
+		{"strict-parallel1", "?parallel=1", "miss"},
+		{"strict-parallel2", "?parallel=2", "hit"},
+		{"lenient-parallel1", "?lenient=1&parallel=1", "miss"},
+		{"lenient-parallel2", "?lenient=1&parallel=2", "hit"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, cs, fresh := postAnalyze(t, srv.URL, tc.query+"&nocache=1", enc)

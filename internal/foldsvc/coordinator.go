@@ -199,17 +199,11 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	if s.rejectIfDraining(w) {
 		return
 	}
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		w.Header().Set("Retry-After", "1")
-		s.reject(w, "capacity", "analysis capacity exhausted, retry later",
-			http.StatusTooManyRequests)
+	release, ok := s.admit(w)
+	if !ok {
 		return
 	}
-	defer func() { <-s.sem }()
-	s.inflight.Inc()
-	defer s.inflight.Dec()
+	defer release()
 
 	opts, err := optionsFromQuery(r)
 	if err != nil {
@@ -244,12 +238,13 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	// result is cacheable; a hit answers without reading the upload.
 	// Requests without ?digest= (or with ?nocache=) bypass the cache.
 	if declared := r.URL.Query().Get("digest"); s.cache != nil && declared != "" && !nocacheRequested(r) {
-		s.partialCached(w, r, ctx, opts, spec, body, declared)
+		s.partialCached(w, r, ctx, opts, spec, body, declared, release)
 		return
 	}
 
 	start := time.Now()
 	p, err := core.MapShardStreamContext(ctx, body, spec, opts)
+	release()
 	if err != nil {
 		if body.limit != nil {
 			err = body.limit
@@ -283,17 +278,11 @@ func (s *Server) handleCoordinate(w http.ResponseWriter, r *http.Request) {
 	if s.rejectIfDraining(w) {
 		return
 	}
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		w.Header().Set("Retry-After", "1")
-		s.reject(w, "capacity", "analysis capacity exhausted, retry later",
-			http.StatusTooManyRequests)
+	release, ok := s.admit(w)
+	if !ok {
 		return
 	}
-	defer func() { <-s.sem }()
-	s.inflight.Inc()
-	defer s.inflight.Dec()
+	defer release()
 
 	opts, err := optionsFromQuery(r)
 	if err != nil {
@@ -347,6 +336,7 @@ func (s *Server) handleCoordinate(w http.ResponseWriter, r *http.Request) {
 			// store it.
 			return rescache.Result{Data: data, NoStore: lost}, nil
 		})
+		release()
 		if err != nil {
 			s.writeCoordError(w, r, err)
 			return
@@ -360,6 +350,7 @@ func (s *Server) handleCoordinate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	data, _, err := s.runCoordinated(ctx, r.URL.Query(), digest, enc, opts)
+	release()
 	if err != nil {
 		s.writeCoordError(w, r, err)
 		return

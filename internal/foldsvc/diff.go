@@ -46,18 +46,12 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Same backpressure as /v1/analyze: one slot covers the whole diff.
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		w.Header().Set("Retry-After", "1")
+	release, ok := s.admit(w)
+	if !ok {
 		s.diffOutcome("error")
-		s.reject(w, "capacity", "analysis capacity exhausted, retry later",
-			http.StatusTooManyRequests)
 		return
 	}
-	defer func() { <-s.sem }()
-	s.inflight.Inc()
-	defer s.inflight.Dec()
+	defer release()
 
 	start := time.Now()
 	opts, err := optionsFromQuery(r)
@@ -124,6 +118,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	}
 
 	d, err := diff.Compare(reports[0], reports[1], dopts)
+	release()
 	if err != nil {
 		s.diffOutcome("error")
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -315,19 +316,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Backpressure: a bounded job semaphore instead of an unbounded
-	// goroutine pile. Full means the caller should retry, not queue.
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		w.Header().Set("Retry-After", "1")
-		s.reject(w, "capacity", "analysis capacity exhausted, retry later",
-			http.StatusTooManyRequests)
+	release, ok := s.admit(w)
+	if !ok {
 		return
 	}
-	defer func() { <-s.sem }()
-	s.inflight.Inc()
-	defer s.inflight.Dec()
+	defer release()
 
 	opts, err := optionsFromQuery(r)
 	if err != nil {
@@ -365,12 +358,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if s.cache != nil && !nocacheRequested(r) {
-		s.analyzeCached(w, r, ctx, opts, body, input, src)
+		s.analyzeCached(w, r, ctx, opts, body, input, src, release)
 		return
 	}
 
 	start := time.Now()
 	rep, err := core.AnalyzeStreamContext(ctx, input, opts)
+	release()
 	if err != nil {
 		// Decode errors wrap the underlying read failure as text only,
 		// so a tripped upload limit must be recovered from the reader.
@@ -409,6 +403,31 @@ func (lt *limitTrackingReader) Read(p []byte) (int, error) {
 		}
 	}
 	return n, err
+}
+
+// admit claims a job slot: a bounded job semaphore instead of an
+// unbounded goroutine pile. When every slot is taken it answers 429
+// with Retry-After (the caller should retry, not queue) and returns
+// false. Otherwise it returns the slot's release, which frees the slot
+// and decrements foldsvc_inflight_jobs and is safe to call more than
+// once. Handlers call it as soon as their compute ends, before writing
+// any response byte, so a client that has read the response and sends
+// its next request never meets its own request's slot; they also defer
+// it to cover early returns.
+func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		w.Header().Set("Retry-After", "1")
+		s.reject(w, "capacity", "analysis capacity exhausted, retry later",
+			http.StatusTooManyRequests)
+		return nil, false
+	}
+	s.inflight.Inc()
+	return sync.OnceFunc(func() {
+		s.inflight.Dec()
+		<-s.sem
+	}), true
 }
 
 // reject writes an error response and counts it under
@@ -494,7 +513,10 @@ func (s *Server) openLocal(p string) (*os.File, int, error) {
 //
 //	online=1 train=N parallel=N phases=N bins=N model=binned+pchip
 //	counter=PAPI_TOT_INS[,...] knn=auto|brute|kdtree sil_sample=N
-//	min_burst_us=N lenient=1 columnar=0|1
+//	min_burst_us=N lenient=1
+//
+// Unknown parameters are ignored, so a session journal persisted with
+// a since-removed parameter (such as columnar=) still recovers.
 func optionsFromQuery(r *http.Request) (core.Options, error) {
 	return optionsFromValues(r.URL.Query())
 }
@@ -552,17 +574,6 @@ func optionsFromValues(q url.Values) (core.Options, error) {
 			return opts, fmt.Errorf("bad lenient=%q: want a boolean", v)
 		}
 		opts.Lenient = on
-	}
-	if v := q.Get("columnar"); v != "" {
-		on, err := strconv.ParseBool(v)
-		if err != nil {
-			return opts, fmt.Errorf("bad columnar=%q: want a boolean", v)
-		}
-		if on {
-			opts.Columnar = core.PathColumnar
-		} else {
-			opts.Columnar = core.PathRow
-		}
 	}
 	if v := q.Get("knn"); v != "" {
 		mode, err := cluster.ParseIndexMode(v)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -122,6 +123,37 @@ func TestAnalyzeOnlineAndQueryKnobs(t *testing.T) {
 	}
 	if len(rep.Phases) == 0 || len(rep.Phases) > 3 {
 		t.Errorf("got %d phases, want 1..3", len(rep.Phases))
+	}
+}
+
+// TestOptionsFromValues checks the query-to-Options mapping, including
+// that a since-removed parameter is ignored: session journals persisted
+// with columnar=0 must still recover to the default Options.
+func TestOptionsFromValues(t *testing.T) {
+	def, err := optionsFromValues(url.Values{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		query string
+		want  func(*core.Options)
+	}{
+		{"columnar=0", func(*core.Options) {}},
+		{"lenient=1&parallel=3", func(o *core.Options) { o.Lenient, o.Parallelism = true, 3 }},
+	} {
+		q, err := url.ParseQuery(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := optionsFromValues(q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		want := def
+		tc.want(&want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %+v, want %+v", tc.query, got, want)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@
 // core.AnalyzeContext over the accumulated records, so a session
 // snapshot after N appends is provably the same Report batch analysis
 // of that prefix produces (per-phase panic isolation, degraded mode and
-// the online/columnar paths all inherited for free). Snapshots are
+// the online path all inherited for free). Snapshots are
 // coalesced — appends mark the session dirty and a single per-session
 // goroutine analyzes the newest state, so a burst of appends costs one
 // analysis and a slow subscriber can never block the analysis path.
